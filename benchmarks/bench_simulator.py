@@ -32,8 +32,10 @@ The vector core (``engine="vector"``: symmetry folding + recurrence
 replay) has two gates of its own: ``--vector-min-speedup X`` requires
 it to beat the event core by X on the contended 64×16 scenario
 (bit-identical results asserted first), and ``--million-budget S``
-bounds a ~1M-task contended point (B×H = 384×16) that runs folded-only
-— the merged task list is never materialized.
+bounds a ~1M-task contended point (B×H = 384×16) evaluated end to end
+through ``evaluate_scenario_point(engine="vector")``, the function the
+runtime's workers call — it folds the point and never builds the
+merged task list.
 
 Every randomized task graph in this module is generated from the
 explicit ``--seed`` (one fixed default), so the gates measure the same
@@ -53,6 +55,7 @@ from repro.simulator import (
     Task,
     build_scenario_tasks,
     build_tasks,
+    evaluate_scenario_point,
     fold_scenario,
     run_folded,
 )
@@ -158,8 +161,8 @@ def _scenario_graph(dram_bw=None):
 
     Returns (scenario, tasks, mode, budget) with the issue mode derived
     from the scenario's binding, exactly as
-    :func:`repro.simulator.pipeline.scenario_sim` maps it — the graph is
-    prebuilt here so the timed region is scheduling only.  With
+    :func:`repro.simulator.pipeline.schedule_scenario_tasks` maps it —
+    the graph is prebuilt here so the timed region is scheduling only.  With
     ``dram_bw`` set, the graph additionally carries the lowered DRAM
     transfers every instance contends for.
     """
@@ -211,8 +214,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--million-budget", type=float, default=30.0, metavar="S",
-        help="fail if the ~1M-task contended folded point (384x16 "
-             "BERT) exceeds S seconds on the vector core (0 disables; "
+        help="fail if evaluating the ~1M-task contended point (384x16 "
+             "BERT) on the vector engine exceeds S seconds (0 disables; "
              "default 30)",
     )
     parser.add_argument(
@@ -403,27 +406,24 @@ def main(argv=None):
 
     if args.million_budget:
         # Cluster scale: ~1M tasks (B x H = 384 x 16 BERT-Base,
-        # contended).  Folded-only — the task list is never built, which
+        # contended), timed through the runtime's worker function so the
+        # gate sees everything a scenario point pays: folding, scheduling
+        # and the result row.  The merged task list is never built, which
         # is the point: lowering cost is per *class*, not per instance.
         scenario = scenario_from_model(BERT, 4096, batch=384, heads=16,
                                        dram_bw=CLOUD_DRAM_BW)
-        slots = 1 if scenario.binding == "tile-serial" else scenario.slots
-        stats = {}
         start = time.perf_counter()
-        folded = fold_scenario(scenario)
-        result = run_folded(folded, slots=slots, stats=stats)
+        result = evaluate_scenario_point(scenario, engine="vector")
         took = time.perf_counter() - start
         print(f"\nmillion-task point {scenario.name}: "
-              f"{folded.n_tasks:,} tasks in {folded.n_instances:,} "
-              f"instances, makespan={result.makespan:,}  {took:5.2f} s "
-              f"({stats['jumps']} jumps)")
+              f"{result.n_tasks:,} tasks in {result.instances:,} "
+              f"instances, makespan={result.makespan:,}  {took:5.2f} s")
         measurements["points"].append({
-            "point": "vector-million", "n_tasks": folded.n_tasks,
+            "point": "vector-million", "n_tasks": result.n_tasks,
             "makespan": result.makespan, "vector_s": took,
-            "jumps": stats["jumps"],
         })
-        assert folded.n_tasks >= 1_000_000, (
-            f"million-task point shrank to {folded.n_tasks:,} tasks"
+        assert result.n_tasks >= 1_000_000, (
+            f"million-task point shrank to {result.n_tasks:,} tasks"
         )
         assert took <= args.million_budget, (
             f"million-task folded point took {took:.1f}s "

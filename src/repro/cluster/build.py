@@ -85,6 +85,25 @@ def _check_sharding(sharding: str) -> None:
         raise ValueError(f"unknown sharding {sharding!r}; have {SHARDINGS}")
 
 
+def _check_modeled(scenario: Scenario) -> None:
+    """Reject what the cluster lowering does not model yet: the on-chip
+    buffer (``buffer_bytes`` spills and prefetch window) and DRAM
+    arbitration (``qos``, per-phase ``dram_priority``).  Dropping them
+    silently would break the 1-chip ≡ unsharded invariant."""
+    unmodeled = []
+    if scenario.buffer_bytes is not None:
+        unmodeled.append(f"buffer_bytes={scenario.buffer_bytes:g}")
+    if scenario.qos != "uniform":
+        unmodeled.append(f"qos={scenario.qos!r}")
+    if any(phase.dram_priority for phase in scenario.phases):
+        unmodeled.append("a phase dram_priority")
+    if unmodeled:
+        raise ValueError(
+            f"cluster sharding does not model the on-chip buffer or DRAM "
+            f"QoS; scenario {scenario.name!r} sets {', '.join(unmodeled)}"
+        )
+
+
 def _tensor_sharded(phase: Phase, sharding: str, n_chips: int) -> bool:
     """Whether this phase slices the embedding across chips (tensor
     policy, prefill only — decode rows are too small to slice)."""
@@ -216,8 +235,13 @@ def cluster_templates(
     """The counted template classes of a sharded scenario, in phase-
     major then chip-ascending order — the cluster counterpart of the
     per-phase classes :func:`~repro.simulator.pipeline.fold_scenario`
-    folds.  Chips whose block is empty contribute no class."""
+    folds.  Chips whose block is empty contribute no class.
+
+    Raises ``ValueError`` for a scenario that models the on-chip buffer
+    or DRAM QoS (see :func:`_check_modeled`); building and folding both
+    pass through here."""
     _check_sharding(sharding)
+    _check_modeled(scenario)
     classes: List[Tuple[List[Task], int]] = []
     for phase in scenario.phases:
         counts = chip_instance_counts(phase, sharding, spec.n_chips)
@@ -302,11 +326,12 @@ def schedule_cluster_tasks(
 ) -> SimResult:
     """Schedule an already-built sharded merged graph.
 
-    Mirrors :func:`~repro.simulator.pipeline.schedule_scenario_tasks`:
-    ``engine="vector"`` re-derives the template classes (cheap) and
-    takes the folded path; the other engines schedule ``tasks``
-    directly under the scenario's binding discipline with the same
-    total-duration cycle budget."""
+    ``engine="vector"`` ignores ``tasks``: it re-derives the template
+    classes (cheap) and takes the folded path, so :func:`cluster_sim`
+    still builds a list the vector engine never reads.  The other
+    engines schedule ``tasks`` directly under the scenario's binding
+    discipline with the total-duration cycle budget of
+    :func:`~repro.simulator.pipeline.schedule_scenario_tasks`."""
     serial = scenario.binding == "tile-serial"
     if engine == "vector":
         return run_folded(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..arch.spec import EXP_AS_MACCS
 from ..workloads.scenario import BINDINGS, Phase, Scenario
@@ -65,6 +65,7 @@ __all__ = [
     "compare_bindings",
     "fold_scenario",
     "instance_spill_bytes",
+    "prepare_scenario",
     "scenario_dram_cycles",
     "scenario_sim",
     "scenario_spill_bytes",
@@ -651,27 +652,57 @@ def binding_sim(
 def schedule_scenario_tasks(
     scenario: Scenario, tasks: List[Task], engine: str = "event"
 ) -> SimResult:
-    """Schedule an already-built merged graph of ``scenario``.
+    """Schedule an already-built merged graph of ``scenario`` as one
+    unfolded list, under the scenario's binding discipline and the
+    total-duration cycle budget :func:`_run` computes.
 
-    ``engine="vector"`` takes the folded path: the instance classes are
-    re-derived from the scenario (cheap — one template per phase) and
-    scheduled by :func:`~repro.simulator.vector.run_folded`, whose
-    default cycle budget is the same total-duration bound
-    :func:`_run` computes from the task list.  The other engines
-    schedule ``tasks`` directly.
+    Any engine can schedule the list (``engine="vector"`` runs it
+    through :func:`~repro.simulator.vector.run_vectorized`).  Scenario
+    points never build it for the vector engine: :func:`prepare_scenario`
+    folds them instead.
     """
     serial = scenario.binding == "tile-serial"
-    if engine == "vector":
-        return run_folded(fold_scenario(scenario), slots=1 if serial else scenario.slots)
     return _run(tasks, serial, slots=scenario.slots, engine=engine)
+
+
+def prepare_scenario(
+    scenario: Scenario, engine: str = "event"
+) -> Callable[[], Tuple[int, SimResult]]:
+    """Run the graph stage of one scenario point and return its
+    schedule stage, which yields ``(n_tasks, result)``.
+
+    This is the one place a scenario point chooses between the folded
+    and the built path.  ``engine="vector"`` folds the instances into
+    counted classes (:func:`fold_scenario`) and schedules them with
+    :func:`~repro.simulator.vector.run_folded`; the merged task list is
+    never built, and ``n_tasks`` is :attr:`FoldedScenario.n_tasks`,
+    which equals ``len(build_scenario_tasks(scenario))`` because both
+    replicate the same lowered templates.  The other engines build the
+    list (:func:`build_scenario_tasks`) and schedule it
+    (:func:`schedule_scenario_tasks`).  The two stages are split so
+    :func:`~repro.simulator.sweep.profile_scenario_point` can clock
+    them apart.
+    """
+    if engine == "vector":
+        folded = fold_scenario(scenario)
+        slots = 1 if scenario.binding == "tile-serial" else scenario.slots
+        return lambda: (folded.n_tasks, run_folded(folded, slots=slots))
+    tasks = build_scenario_tasks(scenario)
+    return lambda: (
+        len(tasks), schedule_scenario_tasks(scenario, tasks, engine=engine)
+    )
 
 
 def scenario_sim(
     scenario: Scenario, engine: str = "event"
-) -> Tuple[List[Task], SimResult]:
-    """Build and run ``scenario``'s merged graph; returns (tasks, result)."""
-    tasks = build_scenario_tasks(scenario)
-    return tasks, schedule_scenario_tasks(scenario, tasks, engine=engine)
+) -> Tuple[int, SimResult]:
+    """Evaluate ``scenario``'s merged schedule; returns (n_tasks, result).
+
+    The vector engine folds the scenario and never builds the merged
+    list (see :func:`prepare_scenario`); callers that need the list
+    call :func:`build_scenario_tasks` themselves.
+    """
+    return prepare_scenario(scenario, engine)()
 
 
 def simulate_binding(

@@ -39,10 +39,9 @@ from .pipeline import (
     BINDINGS,
     PipelineConfig,
     binding_sim,
-    build_scenario_tasks,
+    prepare_scenario,
     scenario_sim,
     scenario_spill_bytes,
-    schedule_scenario_tasks,
 )
 
 #: Chunk counts (M1) of the default sweep: 16 → 8192 in powers of two,
@@ -304,16 +303,24 @@ def _scenario_row(scenario: Scenario, n_tasks: int, result) -> ScenarioResult:
 def evaluate_scenario_point(
     scenario: Scenario, engine: str = "event"
 ) -> ScenarioResult:
-    """Schedule one scenario's merged graph and measure utilizations."""
-    tasks, result = scenario_sim(scenario, engine=engine)
-    return _scenario_row(scenario, len(tasks), result)
+    """Schedule one scenario's merged graph and measure utilizations
+    (``engine="vector"`` folds it and never builds the merged list)."""
+    n_tasks, result = scenario_sim(scenario, engine=engine)
+    return _scenario_row(scenario, n_tasks, result)
 
 
 @dataclass(frozen=True)
 class ScenarioProfile:
     """Wall-time breakdown of one scenario evaluation (``--profile``):
-    graph construction vs scheduling, so an engine regression is
-    attributable from CI artifacts rather than inferred from totals."""
+    the graph stage vs scheduling, so an engine regression is
+    attributable from CI artifacts rather than inferred from totals.
+
+    ``build_s`` times what the engine schedules: the merged task list
+    (:func:`~repro.simulator.pipeline.build_scenario_tasks`) on the
+    event and cycle engines, the folded classes
+    (:func:`~repro.simulator.pipeline.fold_scenario`) on the vector
+    engine.  ``schedule_s`` times scheduling it (``run_folded`` on the
+    vector engine)."""
 
     scenario: str
     engine: str
@@ -336,18 +343,18 @@ def profile_scenario_point(
     Same result as :func:`evaluate_scenario_point` — the stages are the
     same calls, separately clocked — plus the breakdown."""
     t0 = perf_counter()
-    tasks = build_scenario_tasks(scenario)
+    schedule = prepare_scenario(scenario, engine=engine)
     t1 = perf_counter()
-    result = schedule_scenario_tasks(scenario, tasks, engine=engine)
+    n_tasks, result = schedule()
     t2 = perf_counter()
     profile = ScenarioProfile(
         scenario=scenario.name,
         engine=engine,
-        n_tasks=len(tasks),
+        n_tasks=n_tasks,
         build_s=t1 - t0,
         schedule_s=t2 - t1,
     )
-    return _scenario_row(scenario, len(tasks), result), profile
+    return _scenario_row(scenario, n_tasks, result), profile
 
 
 # --------------------------------------------------------------------------

@@ -374,8 +374,8 @@ def run_folded(
     """Schedule a folded scenario; bit-identical to running the fully
     materialized graph through any engine.  ``max_cycles`` defaults to
     the graph's makespan bound (total duration + 1) — the same budget
-    :func:`~repro.simulator.pipeline.scenario_sim` derives from the task
-    list.  ``stats``, when given, receives ``events`` (concrete events
+    :func:`~repro.simulator.pipeline.schedule_scenario_tasks` derives
+    from the task list.  ``stats``, when given, receives ``events`` (concrete events
     simulated), ``replayed`` (completions expanded arithmetically) and
     ``jumps`` counters — the fold's effectiveness, for tests and the
     ``--profile`` breakdown."""

@@ -33,6 +33,7 @@ from repro.serving import Arrival, ServingSpec, build_serving_tasks, simulate_se
 from repro.simulator import (
     PipelineConfig,
     apply_buffer_spills,
+    build_scenario_tasks,
     build_tasks,
     chunk_residency,
     chunk_traffic,
@@ -68,10 +69,12 @@ def capacitated(buffer_bytes, qos="uniform", binding="interleaved",
 
 class TestCapacityIdentity:
     def test_infinite_buffer_equals_none_exactly(self):
-        tasks_none, result_none = scenario_sim(capacitated(None))
-        tasks_inf, result_inf = scenario_sim(capacitated(math.inf))
+        _, result_none = scenario_sim(capacitated(None))
+        _, result_inf = scenario_sim(capacitated(math.inf))
         assert result_inf == result_none
-        assert list(tasks_inf) == list(tasks_none)
+        assert build_scenario_tasks(capacitated(math.inf)) == (
+            build_scenario_tasks(capacitated(None))
+        )
         assert scenario_spill_bytes(capacitated(math.inf)) == 0
 
     def test_decode_first_without_decode_is_uniform_exactly(self):
@@ -84,9 +87,9 @@ class TestCapacityIdentity:
             3, 8, dram_bw=TIGHT_BW, buffer_bytes=PARTIAL_BUF,
             qos="decode-first",
         )
-        tasks_u, result_u = scenario_sim(uniform)
-        tasks_b, result_b = scenario_sim(boosted)
-        assert list(tasks_b) == list(tasks_u)
+        _, result_u = scenario_sim(uniform)
+        _, result_b = scenario_sim(boosted)
+        assert build_scenario_tasks(boosted) == build_scenario_tasks(uniform)
         assert result_b == result_u
 
     def test_uniform_qos_keeps_declaration_order(self):
@@ -157,10 +160,10 @@ class TestSpillConservation:
         annotated graph and through the dram lowering alike."""
         base = capacitated(None, dram_bw=None)
         tight = capacitated(TIGHT_BUF, dram_bw=None)
-        base_bytes = sum(t.bytes_moved for t in scenario_sim(base)[0])
-        tight_bytes = sum(t.bytes_moved for t in scenario_sim(tight)[0])
+        base_bytes = sum(t.bytes_moved for t in build_scenario_tasks(base))
+        tight_bytes = sum(t.bytes_moved for t in build_scenario_tasks(tight))
         assert tight_bytes - base_bytes == scenario_spill_bytes(tight)
-        lowered = scenario_sim(capacitated(TIGHT_BUF))[0]
+        lowered = build_scenario_tasks(capacitated(TIGHT_BUF))
         carried = sum(
             t.bytes_moved for t in lowered if t.resource != "dram"
         )
@@ -196,7 +199,8 @@ def dram_inversions(scenario):
     DRAM transfer dispatched while a decode transfer sat ready (deps
     all finished) but unstarted.  Start times are reconstructed as
     ``finish - duration``; readiness as the latest dep finish."""
-    tasks, result = scenario_sim(scenario)
+    tasks = build_scenario_tasks(scenario)
+    _, result = scenario_sim(scenario)
     finish = result.finish_times
     transfers = [t for t in tasks if t.resource == "dram"]
     start = {t.name: finish[t.name] - t.duration for t in transfers}

@@ -22,6 +22,8 @@ Five contracts:
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +46,7 @@ from repro.cluster import (
     decode_cluster_result,
     encode_cluster_result,
     evaluate_cluster_point,
+    fold_cluster,
     shard_config,
 )
 from repro.model.cluster import analytical_cluster, cluster_work
@@ -154,6 +157,30 @@ class TestDegenerateIdentity:
         assert result.busy_2d == sim.busy_cycles.get("2d", 0)
         assert result.busy_dram == sim.busy_cycles.get("dram", 0)
         assert result.link_bw is None and result.busy_link == 0
+
+
+    @pytest.mark.parametrize("unmodeled, decode_priority, named", (
+        (dict(buffer_bytes=24576.0), 0, "buffer_bytes=24576"),
+        (dict(qos="decode-first"), 0, "qos='decode-first'"),
+        ({}, 1, "dram_priority"),
+    ))
+    def test_unmodeled_buffer_and_qos_rejected(self, unmodeled, decode_priority, named):
+        """The lowering does not model buffer spills or DRAM priority,
+        so a scenario setting either is rejected at the boundary rather
+        than scheduled as if it were plain (which would break 1 chip ≡
+        unsharded)."""
+        scenario = small_scenario(decode_instances=2, decode_chunks=4, dram_bw=32.0)
+        prefill, decode = scenario.phases
+        scenario = replace(
+            scenario,
+            phases=(prefill, replace(decode, dram_priority=decode_priority)),
+            **unmodeled,
+        )
+        for lower in (build_cluster_tasks, fold_cluster):
+            with pytest.raises(ValueError, match=f"does not model.*{re.escape(named)}"):
+                lower(scenario, ClusterSpec())
+        with pytest.raises(ValueError, match="does not model"):
+            evaluate_cluster_point(ClusterPoint(scenario=scenario))
 
 
 class TestShardingMath:

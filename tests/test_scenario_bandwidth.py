@@ -67,10 +67,12 @@ def contended(dram_bw, decode=4, binding="interleaved"):
 
 class TestBandwidthIdentity:
     def test_infinite_bandwidth_equals_none_exactly(self):
-        tasks_none, result_none = scenario_sim(contended(None))
-        tasks_inf, result_inf = scenario_sim(contended(math.inf))
+        _, result_none = scenario_sim(contended(None))
+        _, result_inf = scenario_sim(contended(math.inf))
         assert result_inf == result_none
-        assert [t.name for t in tasks_inf] == [t.name for t in tasks_none]
+        assert [t.name for t in build_scenario_tasks(contended(math.inf))] == [
+            t.name for t in build_scenario_tasks(contended(None))
+        ]
         assert "dram" not in result_inf.busy_cycles
 
     def test_none_graph_untouched_by_annotations(self):

@@ -9,6 +9,7 @@ graphs, and through the binding-sweep runtime path.
 
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,8 @@ from repro.simulator import (
     compare_bindings,
     evaluate_binding_point,
     evaluate_scenario_point,
+    fold_scenario,
+    profile_scenario_point,
     scenario_csv,
     scenario_json,
     scenario_sim,
@@ -110,6 +113,27 @@ def both(tasks, mode="interleaved", slots=2, max_cycles=10_000_000):
         assert dict(result.busy_cycles) == dict(cycle.busy_cycles)
         assert dict(result.finish_times) == dict(cycle.finish_times)
     return cycle
+
+
+def assert_folds_without_building(scenario, tasks, monkeypatch):
+    """The vector front doors fold ``scenario`` and never build its
+    merged list: with every binding of ``build_scenario_tasks`` made to
+    raise, ``evaluate_scenario_point`` and ``profile_scenario_point`` on
+    the vector engine still return the event engine's full row,
+    ``n_tasks`` included.  ``tasks`` is the merged list, built before
+    the patch."""
+    assert fold_scenario(scenario).n_tasks == len(tasks)
+    event = evaluate_scenario_point(scenario, engine="event")
+
+    def refuse(_scenario):
+        raise AssertionError("the folded path built the merged task list")
+
+    for module in list(sys.modules.values()):
+        bound = getattr(module, "__dict__", {}).get("build_scenario_tasks")
+        if bound is build_scenario_tasks:
+            monkeypatch.setattr(module, "build_scenario_tasks", refuse)
+    assert evaluate_scenario_point(scenario, engine="vector") == event
+    assert profile_scenario_point(scenario, engine="vector")[0] == event
 
 
 def random_graph(rng, max_tasks=40, allow_zero=True):
@@ -389,7 +413,7 @@ class TestScenarioGraphs:
     """Merged multi-(batch, head) graphs: structure + engine parity."""
 
     @pytest.mark.parametrize("seed", fuzz_seeds("scenario-merged"))
-    def test_merged_graph_engines_identical(self, seed):
+    def test_merged_graph_engines_identical(self, seed, monkeypatch):
         """The differential fuzz, extended to scenario merged graphs
         (mixed-model phases and dram_bw in {None, tight, ample} ride
         along through the seeded generator)."""
@@ -403,14 +427,16 @@ class TestScenarioGraphs:
             slots=scenario.slots,
             max_cycles=sum(t.duration for t in tasks) + 1,
         )
-        # The folded path (scenario_sim engine="vector") must agree too:
-        # it never materializes the merged task list, so this is the one
-        # place lazy materialization and replay face the oracle.
+        # The folded path (scenario_sim engine="vector") must agree too.
+        # It schedules fold_scenario's counted classes, never this list,
+        # so this is where lazy materialization and replay face the
+        # oracle (build_scenario_tasks above is the test's own build).
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        assert_folds_without_building(scenario, tasks, monkeypatch)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("scenario-bandwidth"))
-    def test_bandwidth_graph_engines_identical(self, seed):
+    def test_bandwidth_graph_engines_identical(self, seed, monkeypatch):
         """Pinned bandwidth coverage: every third seed runs unmodeled
         (None), tight (contended), and ample (free transfers) dram_bw on
         an otherwise identical scenario draw — the {None, tight, ample}
@@ -432,6 +458,7 @@ class TestScenarioGraphs:
             assert result.busy_cycles.get("dram", 0) > 0
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        assert_folds_without_building(scenario, tasks, monkeypatch)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("cluster"))
     def test_cluster_graph_engines_identical(self, seed):
@@ -469,7 +496,7 @@ class TestScenarioGraphs:
         assert folded == result
 
     @pytest.mark.parametrize("seed", fuzz_seeds("buffer-qos"))
-    def test_buffer_qos_graph_engines_identical(self, seed):
+    def test_buffer_qos_graph_engines_identical(self, seed, monkeypatch):
         """Capacity + QoS coverage: the same three-way differential over
         buffer_bytes in {None, tight, ample} crossed with the QoS
         discipline and an explicit per-phase dram_priority.  A tight
@@ -505,6 +532,7 @@ class TestScenarioGraphs:
         )
         _, folded = scenario_sim(scenario, engine="vector")
         assert folded == result
+        assert_folds_without_building(scenario, tasks, monkeypatch)
 
     def test_scenario_sim_engine_parity(self):
         scenario = attention_scenario(3, 4, array_dim=32)
@@ -587,7 +615,7 @@ class TestSymmetryFolding:
     symmetry, and malformed templates are rejected at fold time."""
 
     def _assert_folded_exact(self, scenario, stats=None):
-        from repro.simulator import fold_scenario, run_folded
+        from repro.simulator import run_folded
 
         tasks = build_scenario_tasks(scenario)
         serial = scenario.binding == "tile-serial"
