@@ -297,23 +297,11 @@ class Session:
         self._last_outcome = outcome
         return outcome
 
-    #: Registry record kind for each request type the pooled executor
-    #: serves directly (matching the historical sweep_* record kinds).
-    _REGISTRY_KINDS = {
-        BindingSweepRequest: "binding",
-        ScenarioRequest: "scenario",
-        ScenarioGridRequest: "scenario_grid",
-        ServeRequest: "serve",
-        ClusterRequest: "cluster",
-    }
-
     def _dispatch(self, request: Request) -> Any:
         lowered = self._lower(request)
         if lowered is not None:
             tasks, assemble = lowered
-            outcome = self._execute_recorded(
-                self._REGISTRY_KINDS[type(request)], tasks
-            )
+            outcome = self._execute_recorded(request.KIND, tasks)
             return assemble(outcome.results)
         if isinstance(request, ExperimentRequest):
             return self._run_experiment(request)
@@ -384,26 +372,17 @@ class Session:
         return buffer.getvalue()
 
     def _run_binding_sweep(self, request: BindingSweepRequest) -> Dict:
-        if request.engine == "cycle":
-            # Differential oracle runs stay serial and uncached, so a
-            # cached event result can never masquerade as a cycle run.
-            return {
-                _point_key(task.config): evaluate_binding_point(task.config, engine="cycle")
-                for task in _binding_tasks(request)
-            }
-        return _runtime.sweep_bindings(
-            request.chunks,
-            request.bindings,
-            request.array_dims,
-            embeddings=request.embeddings,
-            pe_1d_dims=request.pe_1d_dims,
-            jobs=self.jobs,
-            cache=self._cache_arg(),
-            registry=self.registry,
-            engine=request.engine,
-        )
+        """The cycle-oracle sweep (``_lower`` pools every other engine):
+        serial and uncached, so a cached event result can never
+        masquerade as a cycle run."""
+        return {
+            _point_key(task.config): evaluate_binding_point(task.config, engine="cycle")
+            for task in _binding_tasks(request)
+        }
 
     def _run_scenario(self, request: ScenarioRequest) -> Dict:
+        """Profiled or cycle-oracle scenarios (``_lower`` pools the
+        rest): both run inline, uncached."""
         scenarios = request.build_scenarios()
         if request.profile:
             # Profiling is a measurement of *this* process doing the
@@ -417,15 +396,7 @@ class Session:
                 profiles.append(prof)
             self._last_profiles = tuple(profiles)
             return payload
-        if request.engine == "cycle":
-            return {s: evaluate_scenario_point(s, engine="cycle") for s in scenarios}
-        return _runtime.sweep_scenarios(
-            scenarios,
-            jobs=self.jobs,
-            cache=self._cache_arg(),
-            registry=self.registry,
-            engine=request.engine,
-        )
+        return {s: evaluate_scenario_point(s, engine="cycle") for s in scenarios}
 
     # -- batched heterogeneous execution -----------------------------------
 
@@ -452,20 +423,20 @@ class Session:
             and not request.profile
         ):
             scenarios = request.build_scenarios()
-            tasks = _runtime.scenario_grid(scenarios, engine=request.engine)
+            tasks = _runtime.point_tasks("scenario", scenarios, engine=request.engine)
 
             def assemble_scenarios(results: List[Any]) -> Dict:
                 return dict(zip(scenarios, results))
 
             return tasks, assemble_scenarios
         if isinstance(request, ScenarioGridRequest):
-            return _runtime.scenario_grid_tasks(request.cells()), list
+            return _runtime.point_tasks("scenario_grid", request.cells()), list
         if isinstance(request, ClusterRequest) and request.engine != "cycle":
-            return _runtime.cluster_grid(
-                request.build_points(), engine=request.engine
+            return _runtime.point_tasks(
+                "cluster", request.build_points(), engine=request.engine
             ), list
         if isinstance(request, ServeRequest):
-            tasks = _runtime.serving_grid([request.build_spec()], engine=request.engine)
+            tasks = _runtime.point_tasks("serve", [request.build_spec()], engine=request.engine)
 
             def assemble_serving(results: List[Any]) -> Any:
                 return results[0]

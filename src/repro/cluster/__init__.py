@@ -34,8 +34,6 @@ from .sweep import (
     cluster_fields_for,
     cluster_json,
     cluster_table,
-    decode_cluster_result,
-    encode_cluster_result,
     evaluate_cluster_point,
 )
 
@@ -59,8 +57,6 @@ __all__ = [
     "cluster_table",
     "cluster_templates",
     "collective_bytes",
-    "decode_cluster_result",
-    "encode_cluster_result",
     "evaluate_cluster_point",
     "fold_cluster",
     "instance_out_bytes",

@@ -1,4 +1,4 @@
-"""Cluster evaluation points, result rows, emitters, and cache codec.
+"""Cluster evaluation points, result rows, and emitters.
 
 One :class:`ClusterPoint` pairs a workload (:class:`~repro.workloads
 .scenario.Scenario`) with a machine (:class:`~repro.cluster.spec
@@ -27,8 +27,8 @@ makespan alone.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Tuple
 
 from ..simulator.sweep import _rows_csv, _rows_table
 from ..workloads.scenario import Scenario
@@ -45,8 +45,6 @@ __all__ = [
     "cluster_fields_for",
     "cluster_json",
     "cluster_table",
-    "decode_cluster_result",
-    "encode_cluster_result",
     "evaluate_cluster_point",
 ]
 
@@ -104,6 +102,11 @@ class ClusterPoint:
     def name(self) -> str:
         """Short display label (crosscheck rows, registry summaries)."""
         return f"{self.scenario.name}@x{self.spec.n_chips}-{self.sharding}"
+
+    @property
+    def seq_len(self) -> int:
+        """The scenario's sequence length (the runtime task's)."""
+        return self.scenario.seq_len
 
     def describe(self) -> str:
         """Full point label for run-registry grid summaries."""
@@ -288,17 +291,3 @@ def cluster_table(results: ClusterResults) -> str:
     """Cluster results as an aligned text table (the CLI default)."""
     fields_ = cluster_fields_for(list(results))
     return _rows_table(fields_, [_blanked_row(r, fields_) for r in results])
-
-
-#: Scalar dataclass fields, the exact set the codec round-trips.
-_RESULT_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(ClusterResult))
-
-
-def encode_cluster_result(result: ClusterResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "ClusterResult", **asdict(result)}
-
-
-def decode_cluster_result(payload: Mapping) -> ClusterResult:
-    """Inverse of :func:`encode_cluster_result`."""
-    return ClusterResult(**{field: payload[field] for field in _RESULT_FIELDS})

@@ -227,12 +227,11 @@ def crosscheck(
             scenarios = scenarios + capacity_scenarios()
         if cluster:
             points = cluster_points()
-    simulated = _runtime.sweep_scenarios(
-        scenarios, jobs=jobs, cache=cache, registry=registry
+    simulated = _runtime.sweep_points(
+        "scenario", scenarios, jobs=jobs, cache=cache, registry=registry
     )
     rows = []
-    for scenario in scenarios:
-        sim = simulated[scenario]
+    for scenario, sim in zip(scenarios, simulated):
         model = analytical_scenario(scenario)
         arrays = CHECKED_ARRAYS
         if scenario.dram_bw is not None:
@@ -251,8 +250,8 @@ def crosscheck(
                 )
             )
     if points:
-        clustered = _runtime.sweep_cluster(
-            points, jobs=jobs, cache=cache, registry=registry
+        clustered = _runtime.sweep_points(
+            "cluster", points, jobs=jobs, cache=cache, registry=registry
         )
         for point, sim in zip(points, clustered):
             estimate = analytical_cluster(point.scenario, point.spec, point.sharding)

@@ -3,7 +3,9 @@
 The runtime turns the repo's serial figure drivers into a deterministic
 pipeline: grid points fan out over processes (:mod:`.executor`), results
 content-address into a two-level cache (:mod:`.cache`), and every sweep
-can leave a structured record behind (:mod:`.registry`).  Parallelism
+can leave a structured record behind (:mod:`.registry`).  One table
+(:mod:`.kinds`) names every task kind, its worker function and its
+result type; the executor and the cache codec both read it.  Parallelism
 and caching never change results — the executor merges in submission
 order and the cache keys include the code version.
 
@@ -32,22 +34,16 @@ from .executor import (
     ExecutionOutcome,
     attention_grid,
     binding_grid,
-    cluster_grid,
     evaluate_task,
     execute_tasks,
     pareto_grid,
+    point_tasks,
     run_tasks,
-    scenario_grid,
-    scenario_grid_tasks,
-    serving_grid,
     sweep_attention,
     sweep_bindings,
-    sweep_cluster,
     sweep_inference,
     sweep_pareto,
-    sweep_scenario_grid,
-    sweep_scenarios,
-    sweep_serving,
+    sweep_points,
 )
 from .faults import (
     FAULT_KINDS,
@@ -61,11 +57,13 @@ from .faults import (
     WorkerCrash,
     corrupt_disk_entry,
 )
+from .kinds import KINDS
 from .registry import RunRecord, RunRegistry, result_digest
 
 __all__ = [
     "CACHE_DIR_ENV",
     "FAULT_KINDS",
+    "KINDS",
     "ON_ERROR_MODES",
     "CacheStats",
     "EvalTask",
@@ -84,7 +82,6 @@ __all__ = [
     "attention_grid",
     "binding_grid",
     "cache_key",
-    "cluster_grid",
     "canonical",
     "code_version",
     "corrupt_disk_entry",
@@ -94,18 +91,13 @@ __all__ = [
     "evaluate_task",
     "execute_tasks",
     "pareto_grid",
+    "point_tasks",
     "resolve_cache",
     "result_digest",
     "run_tasks",
-    "scenario_grid",
-    "scenario_grid_tasks",
-    "serving_grid",
     "sweep_attention",
     "sweep_bindings",
-    "sweep_cluster",
     "sweep_inference",
     "sweep_pareto",
-    "sweep_scenario_grid",
-    "sweep_scenarios",
-    "sweep_serving",
+    "sweep_points",
 ]

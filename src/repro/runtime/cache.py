@@ -17,30 +17,23 @@ import os
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Tuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..arch.energy import EnergyBreakdown
-from ..cluster.sweep import (
-    ClusterResult,
-    decode_cluster_result,
-    encode_cluster_result,
-)
-from ..model.metrics import AttentionResult, InferenceResult
 from .faults import TaskFailure
-from ..model.pareto import DesignPoint
-from ..serving import ServingResult, decode_serving_result, encode_serving_result
-from ..simulator.sweep import (
-    BindingResult,
-    ScenarioGridResult,
-    ScenarioResult,
-    decode_binding_result,
-    decode_scenario_grid_result,
-    decode_scenario_result,
-    encode_binding_result,
-    encode_scenario_grid_result,
-    encode_scenario_result,
-)
+from .kinds import KINDS
 
 #: Environment variable that switches the default cache to a disk store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -106,120 +99,103 @@ def cache_key(task_fields: Dict[str, Any], version: Optional[str] = None) -> str
 
 
 # --------------------------------------------------------------------------
-# Result codec: the three grid-point result types <-> JSON-ready dicts.
+# Result codec: the result type of every kind in the table (plus
+# TaskFailure) <-> JSON-ready dicts, by walking dataclass fields.  A
+# result carries a "__type__" tag, also when nested in another
+# (InferenceResult.attention, ScenarioGridResult.sim); other dataclass
+# rows (ServingResult.requests) go untagged; an EnergyBreakdown is its
+# bare pj dict; tuples become lists.  Decoding requires every field.
 # Floats survive the round trip exactly (json uses repr, which is
 # round-trip safe for Python floats), so cached results compare equal to
 # freshly computed ones.
 # --------------------------------------------------------------------------
 
+#: Tag -> class of every result type the codec accepts.
+_RESULT_TYPES: Dict[str, type] = {
+    cls.__name__: cls for cls in [kind.result for kind in KINDS.values()] + [TaskFailure]
+}
+
+
+class _Plan(NamedTuple):
+    """How one dataclass's fields encode: names in declaration order,
+    plus converters for the fields that do not pass through as-is."""
+
+    names: Tuple[str, ...]
+    encoders: Dict[str, Callable[[Any], Any]]
+    decoders: Dict[str, Callable[[Any], Any]]
+
+
+def _converters(hint: Any) -> Optional[Tuple[Callable, Callable]]:
+    """(encode, decode) for a field annotated ``hint``; None when the
+    value is JSON-ready as it stands."""
+    if hint is EnergyBreakdown:
+        return (lambda energy: dict(energy.pj)), (lambda pj: EnergyBreakdown(dict(pj)))
+    if hint in _RESULT_TYPES.values():
+        return _encode, _decode
+    args = get_args(hint)
+    if get_origin(hint) is tuple and args and is_dataclass(args[0]):
+        row = args[0]  # Tuple[row, ...]: a list of untagged field dicts
+        return (
+            lambda values: [_encode_fields(value) for value in values],
+            lambda payloads: tuple(_decode_fields(row, p) for p in payloads),
+        )
+    return None
+
+
+@lru_cache(maxsize=None)
+def _plan(cls: type) -> _Plan:
+    """The field plan of ``cls``, derived from its type hints once."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    codecs = {name: _converters(hints[name]) for name in names}
+    return _Plan(
+        names,
+        {name: pair[0] for name, pair in codecs.items() if pair is not None},
+        {name: pair[1] for name, pair in codecs.items() if pair is not None},
+    )
+
+
+def _encode_fields(obj: Any) -> Dict[str, Any]:
+    plan = _plan(type(obj))
+    data = {name: getattr(obj, name) for name in plan.names}
+    for name, encode in plan.encoders.items():
+        data[name] = encode(data[name])
+    return data
+
+
+def _decode_fields(cls: type, payload: Dict[str, Any]) -> Any:
+    plan = _plan(cls)
+    data = {name: payload[name] for name in plan.names}
+    for name, decode in plan.decoders.items():
+        data[name] = decode(data[name])
+    return cls(**data)
+
+
+def _encode(result: Any) -> Dict[str, Any]:
+    return {"__type__": type(result).__name__, **_encode_fields(result)}
+
+
+def _decode(payload: Dict[str, Any]) -> Any:
+    tag = payload.get("__type__")
+    cls = _RESULT_TYPES.get(tag)
+    if cls is None:
+        raise ValueError(f"cannot decode result payload tagged {tag!r}")
+    return _decode_fields(cls, payload)
+
 
 def encode_result(result: Any) -> Dict[str, Any]:
-    """Encode a grid-point result as a JSON-ready tagged dict."""
-    if isinstance(result, AttentionResult):
-        return {
-            "__type__": "AttentionResult",
-            "config": result.config,
-            "model": result.model,
-            "seq_len": result.seq_len,
-            "latency_cycles": result.latency_cycles,
-            "busy_2d_cycles": result.busy_2d_cycles,
-            "busy_1d_cycles": result.busy_1d_cycles,
-            "dram_bytes": result.dram_bytes,
-            "glb_words": result.glb_words,
-            "energy": dict(result.energy.pj),
-            "per_einsum_2d_cycles": dict(result.per_einsum_2d_cycles),
-        }
-    if isinstance(result, InferenceResult):
-        return {
-            "__type__": "InferenceResult",
-            "config": result.config,
-            "model": result.model,
-            "seq_len": result.seq_len,
-            "attention": encode_result(result.attention),
-            "linear_latency_cycles": result.linear_latency_cycles,
-            "linear_energy": dict(result.linear_energy.pj),
-        }
-    if isinstance(result, DesignPoint):
-        return {
-            "__type__": "DesignPoint",
-            "model": result.model,
-            "array_dim": result.array_dim,
-            "area_cm2": result.area_cm2,
-            "latency_seconds": result.latency_seconds,
-        }
-    if isinstance(result, BindingResult):
-        return encode_binding_result(result)
-    if isinstance(result, ScenarioResult):
-        return encode_scenario_result(result)
-    if isinstance(result, ScenarioGridResult):
-        return encode_scenario_grid_result(result)
-    if isinstance(result, ServingResult):
-        return encode_serving_result(result)
-    if isinstance(result, ClusterResult):
-        return encode_cluster_result(result)
-    if isinstance(result, TaskFailure):
-        # Degraded slots from on_error="skip" sweeps digest and persist
-        # like any result, so partial runs stay comparable.
-        return {
-            "__type__": "TaskFailure",
-            "index": result.index,
-            "kind": result.kind,
-            "error": result.error,
-            "attempts": result.attempts,
-        }
-    raise TypeError(f"cannot encode result of type {type(result).__name__}")
+    """Encode a task result (or a degraded slot's
+    :class:`~repro.runtime.faults.TaskFailure`) as a JSON-ready tagged
+    dict."""
+    if _RESULT_TYPES.get(type(result).__name__) is not type(result):
+        raise TypeError(f"cannot encode result of type {type(result).__name__}")
+    return _encode(result)
 
 
 def decode_result(payload: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_result`."""
-    kind = payload.get("__type__")
-    if kind == "AttentionResult":
-        return AttentionResult(
-            config=payload["config"],
-            model=payload["model"],
-            seq_len=payload["seq_len"],
-            latency_cycles=payload["latency_cycles"],
-            busy_2d_cycles=payload["busy_2d_cycles"],
-            busy_1d_cycles=payload["busy_1d_cycles"],
-            dram_bytes=payload["dram_bytes"],
-            glb_words=payload["glb_words"],
-            energy=EnergyBreakdown(dict(payload["energy"])),
-            per_einsum_2d_cycles=dict(payload["per_einsum_2d_cycles"]),
-        )
-    if kind == "InferenceResult":
-        return InferenceResult(
-            config=payload["config"],
-            model=payload["model"],
-            seq_len=payload["seq_len"],
-            attention=decode_result(payload["attention"]),
-            linear_latency_cycles=payload["linear_latency_cycles"],
-            linear_energy=EnergyBreakdown(dict(payload["linear_energy"])),
-        )
-    if kind == "DesignPoint":
-        return DesignPoint(
-            model=payload["model"],
-            array_dim=payload["array_dim"],
-            area_cm2=payload["area_cm2"],
-            latency_seconds=payload["latency_seconds"],
-        )
-    if kind == "BindingResult":
-        return decode_binding_result(payload)
-    if kind == "ScenarioResult":
-        return decode_scenario_result(payload)
-    if kind == "ScenarioGridResult":
-        return decode_scenario_grid_result(payload)
-    if kind == "ServingResult":
-        return decode_serving_result(payload)
-    if kind == "ClusterResult":
-        return decode_cluster_result(payload)
-    if kind == "TaskFailure":
-        return TaskFailure(
-            index=payload["index"],
-            kind=payload["kind"],
-            error=payload["error"],
-            attempts=payload["attempts"],
-        )
-    raise ValueError(f"cannot decode result payload tagged {kind!r}")
+    """Inverse of :func:`encode_result`; a payload missing any field
+    raises ``KeyError``."""
+    return _decode(payload)
 
 
 @dataclass

@@ -35,22 +35,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..cluster import ClusterPoint, evaluate_cluster_point
-from ..model import all_attention_models, evaluate_inference
-from ..model.pareto import ARRAY_DIMS, PARETO_SEQ_LEN, design_point
-from ..model.scenario import evaluate_grid_cell
+from ..model import all_attention_models
+from ..model.pareto import ARRAY_DIMS, PARETO_SEQ_LEN
 from ..simulator.pipeline import BINDINGS
 from ..simulator.sweep import (
     DEFAULT_SWEEP_ARRAY_DIMS,
     DEFAULT_SWEEP_CHUNKS,
     BindingPoint,
-    ScenarioGridCell,
-    evaluate_binding_point,
-    evaluate_scenario_point,
 )
-from ..serving import ServingSpec, simulate_serving
 from ..workloads.models import BATCH_SIZE, MODELS, ModelConfig, SEQUENCE_LENGTHS
-from ..workloads.scenario import Scenario
 from .cache import cache_key, canonical, resolve_cache
 from .faults import (
     FaultPlan,
@@ -62,19 +55,8 @@ from .faults import (
     WorkerCrash,
     corrupt_disk_entry,
 )
+from .kinds import KINDS
 from .registry import RunRegistry
-
-#: Task kinds understood by :func:`evaluate_task`.
-KINDS = (
-    "attention",
-    "inference",
-    "pareto",
-    "binding",
-    "scenario",
-    "scenario_grid",
-    "serve",
-    "cluster",
-)
 
 #: How :func:`execute_tasks` surfaces a task that exhausted its retry
 #: budget: ``"raise"`` aborts the sweep with a
@@ -91,10 +73,12 @@ _CRASH_EXIT_CODE = 70
 class EvalTask:
     """One point of an evaluation grid.
 
+    ``kind`` names an entry of :data:`~repro.runtime.kinds.KINDS`.
     ``config`` is the accelerator model object for ``attention`` and
-    ``inference`` tasks, and the integer PE-array dimension for
-    ``pareto`` tasks.  Everything a worker needs rides inside the task,
-    so tasks pickle cleanly to pool workers.
+    ``inference`` tasks, the integer PE-array dimension for ``pareto``
+    tasks, and the whole frozen point for the simulation kinds (see
+    :func:`point_tasks`).  Everything a worker needs rides inside the
+    task, so tasks pickle cleanly to pool workers.
     """
 
     kind: str
@@ -138,23 +122,10 @@ class EvalTask:
 
 def evaluate_task(task: EvalTask) -> Any:
     """Evaluate one grid point (runs in pool workers and inline)."""
-    if task.kind == "attention":
-        return task.config.evaluate(task.model, task.seq_len, task.batch)
-    if task.kind == "inference":
-        return evaluate_inference(task.config, task.model, task.seq_len, task.batch)
-    if task.kind == "pareto":
-        return design_point(task.model, task.config, task.seq_len, task.batch)
-    if task.kind == "binding":
-        return evaluate_binding_point(task.config, engine=task.engine)
-    if task.kind == "scenario":
-        return evaluate_scenario_point(task.config, engine=task.engine)
-    if task.kind == "scenario_grid":
-        return evaluate_grid_cell(task.config, engine=task.engine)
-    if task.kind == "serve":
-        return simulate_serving(task.config, engine=task.engine)
-    if task.kind == "cluster":
-        return evaluate_cluster_point(task.config, engine=task.engine)
-    raise ValueError(f"unknown task kind {task.kind!r}; have {KINDS}")
+    kind = KINDS.get(task.kind)
+    if kind is None:
+        raise ValueError(f"unknown task kind {task.kind!r}; have {tuple(KINDS)}")
+    return kind.evaluate(task)
 
 
 @dataclass
@@ -728,63 +699,23 @@ def sweep_bindings(
     return {_binding_key(task.config): result for task, result in zip(tasks, results)}
 
 
-def scenario_grid(scenarios: Sequence[Scenario], engine: str = "event") -> List[EvalTask]:
-    """One runtime task per scenario (kind ``"scenario"``).
+def point_tasks(kind: str, points: Sequence[Any], engine: str = "event") -> List[EvalTask]:
+    """One runtime task per point of a point kind (``"scenario"``,
+    ``"scenario_grid"``, ``"serve"``, ``"cluster"``).
 
-    The whole :class:`Scenario` rides in ``config``, so the cache key
-    covers every field — instances, phase mix, binding, array dims.
+    The whole frozen point — a :class:`~repro.workloads.scenario
+    .Scenario`, :class:`~repro.simulator.sweep.ScenarioGridCell`,
+    :class:`~repro.serving.ServingSpec` or :class:`~repro.cluster
+    .ClusterPoint` — rides in ``config``, so the cache key covers every
+    field of it: two points that differ anywhere never share an entry.
     ``engine`` picks the scheduling core but never enters the cache key
     (engines are bit-identical)."""
-    return [
-        EvalTask("scenario", scenario, None, scenario.seq_len, engine=engine)
-        for scenario in scenarios
-    ]
+    return [EvalTask(kind, point, None, point.seq_len, engine=engine) for point in points]
 
 
-def sweep_scenarios(
-    scenarios: Sequence[Scenario],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-    engine: str = "event",
-) -> Dict[Scenario, Any]:
-    """Merged-schedule simulation of each scenario, keyed by the
-    :class:`Scenario` itself.
-
-    The full (frozen, hashable) spec is the key because nothing less
-    identifies a scenario: names are free-form, and two scenarios named
-    alike may still differ in array dims, slots, or phase mix — keying
-    on the object means no computed result can ever be silently
-    shadowed.  Each point schedules one scenario's full multi-(batch,
-    head) task graph on the event-driven core; points fan out over
-    processes and content-address into the cache like every other
-    grid."""
-    tasks = scenario_grid(scenarios, engine=engine)
-    results = _sweep(tasks, "scenario", jobs, cache, registry, retry, on_error, faults)
-    return {task.config: result for task, result in zip(tasks, results)}
-
-
-def scenario_grid_tasks(
-    cells: Sequence[ScenarioGridCell], engine: str = "event"
-) -> List[EvalTask]:
-    """One runtime task per grid cell (kind ``"scenario_grid"``).
-
-    The whole :class:`ScenarioGridCell` rides in ``config``, so the
-    cache key covers the scenario *and* its grid coordinates: two cells
-    that schedule the same scenario under different coordinates stay
-    distinct cache entries, and a relabel can never shadow a row."""
-    return [
-        EvalTask("scenario_grid", cell, None, cell.scenario.seq_len, engine=engine)
-        for cell in cells
-    ]
-
-
-def sweep_scenario_grid(
-    cells: Sequence[ScenarioGridCell],
+def sweep_points(
+    kind: str,
+    points: Sequence[Any],
     *,
     jobs: int = 1,
     cache: Any = True,
@@ -794,85 +725,14 @@ def sweep_scenario_grid(
     faults: Optional[FaultPlan] = None,
     engine: str = "event",
 ) -> List[Any]:
-    """Evaluate a scenario grid cell-by-cell through the runtime.
+    """Evaluate the :func:`point_tasks` of ``points`` through the
+    runtime; results are index-aligned with ``points``.
 
-    Returns :class:`~repro.simulator.sweep.ScenarioGridResult` rows
-    index-aligned with ``cells`` (the cell itself is the identity, so no
-    keyed merge can shadow a row).  Each cell schedules its merged
-    multi-instance graph on the event core and joins the analytical
-    estimate; cells fan out over processes and content-address into the
-    cache under the ``"scenario_grid"`` task kind."""
-    tasks = scenario_grid_tasks(cells, engine=engine)
-    return _sweep(tasks, "scenario_grid", jobs, cache, registry, retry, on_error, faults)
-
-
-def serving_grid(specs: Sequence[ServingSpec], engine: str = "event") -> List[EvalTask]:
-    """One runtime task per serving workload (kind ``"serve"``).
-
-    The whole :class:`~repro.serving.ServingSpec` rides in ``config``,
-    so the cache key covers the full arrival trace alongside the array
-    configuration, window, and deadline — replaying a seeded trace hits
-    the cache, changing any arrival misses it."""
-    return [EvalTask("serve", spec, None, spec.seq_len, engine=engine) for spec in specs]
-
-
-def sweep_serving(
-    specs: Sequence[ServingSpec],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-    engine: str = "event",
-) -> List[Any]:
-    """Open-loop serving simulation of each spec, index-aligned.
-
-    A rate sweep passes one spec per offered-load point and reads the
-    returned :class:`~repro.serving.ServingResult` rows back as a
-    latency-vs-load curve.  Points fan out over processes and
-    content-address into the cache under the ``"serve"`` task kind, so
-    rerunning a seeded sweep is a pure cache read."""
-    tasks = serving_grid(specs, engine=engine)
-    return _sweep(tasks, "serve", jobs, cache, registry, retry, on_error, faults)
-
-
-def cluster_grid(points: Sequence[ClusterPoint], engine: str = "event") -> List[EvalTask]:
-    """One runtime task per cluster point (kind ``"cluster"``).
-
-    The whole :class:`~repro.cluster.ClusterPoint` — scenario, frozen
-    :class:`~repro.cluster.ClusterSpec`, sharding policy — rides in
-    ``config``, so the cache key covers every axis a cluster sweep
-    varies: chip count, link bandwidth and latency, topology, sharding,
-    and the full workload underneath."""
-    return [
-        EvalTask("cluster", point, None, point.scenario.seq_len, engine=engine)
-        for point in points
-    ]
-
-
-def sweep_cluster(
-    points: Sequence[ClusterPoint],
-    *,
-    jobs: int = 1,
-    cache: Any = True,
-    registry: Optional[RunRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    on_error: str = "raise",
-    faults: Optional[FaultPlan] = None,
-    engine: str = "event",
-) -> List[Any]:
-    """Sharded cluster simulation of each point, index-aligned.
-
-    A chip-count × sharding × link-bandwidth sweep passes one point per
-    grid cell and reads the returned
-    :class:`~repro.cluster.ClusterResult` rows back as strong-scaling
-    curves.  Points fan out over processes and content-address into the
-    cache under the ``"cluster"`` task kind, so rerunning a sweep is a
-    pure cache read."""
-    tasks = cluster_grid(points, engine=engine)
-    return _sweep(tasks, "cluster", jobs, cache, registry, retry, on_error, faults)
+    Points fan out over processes, content-address into the cache, and
+    record a run under ``kind``.  No keyed merge is made, so two points
+    that share a name or label can never shadow each other's row."""
+    tasks = point_tasks(kind, points, engine=engine)
+    return _sweep(tasks, kind, jobs, cache, registry, retry, on_error, faults)
 
 
 def sweep_pareto(

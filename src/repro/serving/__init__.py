@@ -13,8 +13,6 @@ from .metrics import (
     SERVE_QOS_FIELDS,
     RequestMetrics,
     ServingResult,
-    decode_serving_result,
-    encode_serving_result,
     percentile,
     serve_fields_for,
     serving_csv,
@@ -41,8 +39,6 @@ __all__ = [
     "ServingSpec",
     "build_serving_tasks",
     "check_sorted",
-    "decode_serving_result",
-    "encode_serving_result",
     "format_trace",
     "parse_trace",
     "percentile",

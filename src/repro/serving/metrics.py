@@ -20,20 +20,18 @@ and every aggregate is hand-checkable from a mini-trace.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+from ..simulator.sweep import _rows_csv, _rows_table
 
 __all__ = [
     "SERVE_FIELDS",
     "SERVE_QOS_FIELDS",
     "RequestMetrics",
     "ServingResult",
-    "decode_serving_result",
-    "encode_serving_result",
     "percentile",
     "serve_fields_for",
     "serving_csv",
@@ -259,48 +257,6 @@ class ServingResult:
         )
 
 
-#: Scalar fields of :class:`ServingResult` in declaration order — the
-#: codec walks exactly these, so a new field cannot silently escape it.
-_SCALAR_FIELDS: Tuple[str, ...] = tuple(
-    f.name for f in fields(ServingResult) if f.name != "requests"
-)
-
-
-def encode_serving_result(result: ServingResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {
-        "__type__": "ServingResult",
-        **{name: getattr(result, name) for name in _SCALAR_FIELDS},
-        "requests": [asdict(r) for r in result.requests],
-    }
-
-
-#: Defaults for scalar fields added after the cache format shipped, so
-#: pre-capacity cache entries still decode (they never modeled either).
-_SCALAR_DEFAULTS: Dict[str, object] = {
-    "buffer_bytes": None,
-    "qos": "uniform",
-    "spill_bytes": 0,
-}
-
-
-def decode_serving_result(payload: Mapping) -> ServingResult:
-    """Inverse of :func:`encode_serving_result` (strict on the
-    historical fields, defaulting for the capacity/QoS columns)."""
-    data = {
-        name: (
-            payload.get(name, _SCALAR_DEFAULTS[name])
-            if name in _SCALAR_DEFAULTS
-            else payload[name]
-        )
-        for name in _SCALAR_FIELDS
-    }
-    return ServingResult(
-        **data,
-        requests=tuple(RequestMetrics(**entry) for entry in payload["requests"]),
-    )
-
-
 # --------------------------------------------------------------------------
 # Emitters: serving rows as CSV / JSON / aligned text (one row per
 # simulated load point, so a rate sweep is a latency-vs-load curve).
@@ -316,12 +272,7 @@ def _blanked(row: Tuple) -> Tuple:
 def serving_csv(results: Sequence[ServingResult]) -> str:
     """Serving results as CSV with a :func:`serve_fields_for` header."""
     fields_ = serve_fields_for(results)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields_)
-    for result in results:
-        writer.writerow(_blanked(result.row(fields_)))
-    return buffer.getvalue()
+    return _rows_csv(fields_, [_blanked(r.row(fields_)) for r in results])
 
 
 def serving_json(results: Sequence[ServingResult]) -> str:
@@ -336,15 +287,4 @@ def serving_json(results: Sequence[ServingResult]) -> str:
 def serving_table(results: Sequence[ServingResult]) -> str:
     """Serving results as an aligned text table (the CLI default)."""
     fields_ = serve_fields_for(results)
-    text_rows: List[Tuple[str, ...]] = [fields_]
-    for result in results:
-        text_rows.append(
-            tuple(
-                f"{value:.3f}" if isinstance(value, float) else str(value)
-                for value in _blanked(result.row(fields_))
-            )
-        )
-    widths = [max(len(row[i]) for row in text_rows) for i in range(len(fields_))]
-    return "\n".join(
-        "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in text_rows
-    )
+    return _rows_table(fields_, [_blanked(r.row(fields_)) for r in results])

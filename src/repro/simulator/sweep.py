@@ -396,6 +396,11 @@ class ScenarioGridCell:
     heads: Optional[int] = None
     decode: int = 0
 
+    @property
+    def seq_len(self) -> int:
+        """The scenario's sequence length (the runtime task's)."""
+        return self.scenario.seq_len
+
     def describe(self) -> str:
         """Full cell label for run-registry grid summaries."""
         coords = ",".join(
@@ -566,64 +571,4 @@ def grid_table(results: GridResults) -> str:
     return _rows_table(
         GRID_COORD_FIELDS + fields_ + GRID_ESTIMATE_FIELDS,
         _grid_rows(results, fields_),
-    )
-
-
-def encode_binding_result(result: BindingResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "BindingResult", **asdict(result)}
-
-
-def decode_binding_result(payload: Mapping) -> BindingResult:
-    """Inverse of :func:`encode_binding_result`."""
-    return BindingResult(
-        **{field: payload[field] for field in SWEEP_FIELDS}
-    )
-
-
-def encode_scenario_result(result: ScenarioResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {"__type__": "ScenarioResult", **asdict(result)}
-
-
-def decode_scenario_result(payload: Mapping) -> ScenarioResult:
-    """Inverse of :func:`encode_scenario_result`.  The capacity/QoS
-    fields default when absent, so cache entries written before the
-    buffer model decode unchanged."""
-    data = {
-        field: payload[field]
-        for field in SCENARIO_FIELDS + ("dram_bw", "busy_dram")
-    }
-    data["buffer_bytes"] = payload.get("buffer_bytes")
-    data["qos"] = payload.get("qos", "uniform")
-    data["spill_bytes"] = payload.get("spill_bytes", 0)
-    return ScenarioResult(**data)
-
-
-def encode_scenario_grid_result(result: ScenarioGridResult) -> Dict:
-    """JSON-ready payload for the runtime's result cache."""
-    return {
-        "__type__": "ScenarioGridResult",
-        "model": result.model,
-        "batch": result.batch,
-        "heads": result.heads,
-        "decode": result.decode,
-        "sim": encode_scenario_result(result.sim),
-        "estimate": result.estimate,
-        "est_util_2d": result.est_util_2d,
-        "est_util_1d": result.est_util_1d,
-    }
-
-
-def decode_scenario_grid_result(payload: Mapping) -> ScenarioGridResult:
-    """Inverse of :func:`encode_scenario_grid_result`."""
-    return ScenarioGridResult(
-        model=payload["model"],
-        batch=payload["batch"],
-        heads=payload["heads"],
-        decode=payload["decode"],
-        sim=decode_scenario_result(payload["sim"]),
-        estimate=payload["estimate"],
-        est_util_2d=payload["est_util_2d"],
-        est_util_1d=payload["est_util_1d"],
     )

@@ -551,10 +551,9 @@ class TestSession:
     def test_scenario_payload_matches_runtime(self):
         request = ScenarioRequest(instances=2, chunks=4, array_dim=64)
         payload = Session(cache=False).run(request).payload
-        expected = _runtime.sweep_scenarios(
-            request.build_scenarios(), cache=False
-        )
-        assert payload == expected
+        scenarios = request.build_scenarios()
+        expected = _runtime.sweep_points("scenario", scenarios, cache=False)
+        assert payload == dict(zip(scenarios, expected))
 
     def test_cycle_engine_matches_event(self):
         event = Session(cache=False).run(

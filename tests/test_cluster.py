@@ -43,8 +43,6 @@ from repro.cluster import (
     cluster_sim,
     cluster_table,
     collective_bytes,
-    decode_cluster_result,
-    encode_cluster_result,
     evaluate_cluster_point,
     fold_cluster,
     shard_config,
@@ -55,7 +53,7 @@ from repro.runtime import (
     RunRegistry,
     decode_result,
     encode_result,
-    sweep_cluster,
+    sweep_points,
 )
 from repro.serving import (
     Arrival,
@@ -65,7 +63,7 @@ from repro.serving import (
     simulate_serving,
 )
 from repro.simulator import build_scenario_tasks, scenario_sim
-from repro.workloads.scenario import Phase, Scenario, attention_scenario
+from repro.workloads.scenario import Phase, attention_scenario
 
 
 def small_scenario(**overrides):
@@ -401,9 +399,6 @@ class TestClusterResultAndEmitters:
         for point in self.POINTS:
             result = evaluate_cluster_point(point)
             assert isinstance(result, ClusterResult)
-            direct = json.loads(json.dumps(encode_cluster_result(result)))
-            assert decode_cluster_result(direct) == result
-            # And through the runtime's polymorphic codec.
             payload = json.loads(json.dumps(encode_result(result)))
             assert decode_result(payload) == result
 
@@ -418,33 +413,33 @@ class TestClusterRuntime:
     )
 
     def test_sweep_matches_direct_evaluation(self):
-        results = sweep_cluster(self.POINTS, cache=False)
+        results = sweep_points("cluster", self.POINTS, cache=False)
         assert len(results) == len(self.POINTS)
         for point, result in zip(self.POINTS, results):
             assert result == evaluate_cluster_point(point)
 
     def test_sweep_parallel_and_cached_identical(self, tmp_path):
-        baseline = sweep_cluster(self.POINTS, cache=False)
-        parallel = sweep_cluster(self.POINTS, jobs=2, cache=False)
+        baseline = sweep_points("cluster", self.POINTS, cache=False)
+        parallel = sweep_points("cluster", self.POINTS, jobs=2, cache=False)
         assert parallel == baseline
         disk = ResultCache(directory=tmp_path / "cache")
-        populated = sweep_cluster(self.POINTS, cache=disk)
+        populated = sweep_points("cluster", self.POINTS, cache=disk)
         fresh = ResultCache(directory=tmp_path / "cache")
-        warm = sweep_cluster(self.POINTS, cache=fresh)
+        warm = sweep_points("cluster", self.POINTS, cache=fresh)
         assert populated == baseline and warm == baseline
         assert fresh.stats.disk_hits == len(baseline)
 
     def test_sweep_records_run(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_cluster(self.POINTS, cache=False, registry=registry)
+        sweep_points("cluster", self.POINTS, cache=False, registry=registry)
         record = registry.last_recorded
         assert record.kind == "cluster"
         assert record.n_results == len(self.POINTS)
         assert any("4 chips" in c for c in record.grid["configs"])
 
     def test_engine_parity_through_the_runtime(self):
-        event = sweep_cluster(self.POINTS, cache=False, engine="event")
-        vector = sweep_cluster(self.POINTS, cache=False, engine="vector")
+        event = sweep_points("cluster", self.POINTS, cache=False, engine="event")
+        vector = sweep_points("cluster", self.POINTS, cache=False, engine="vector")
         assert event == vector
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import count_passes, family, live_footprints, total_ops
 from repro.cascades import (
@@ -89,8 +89,13 @@ class TestCausalAttention:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(0, 2**31))
+    @example(n=4, seed=282640)
     def test_causal_property(self, n, seed):
-        """Changing future keys/values never changes past outputs."""
+        """Changing future keys/values never changes past outputs.
+
+        The last key moves along the last query, so its score for that
+        query can only rise: its softmax weight never falls, and the
+        -100 shift of its value always reaches the last output."""
         rng = np.random.default_rng(seed)
         shapes = {"E": 3, "F": 3, "M": n, "P": n}
         q = rng.normal(size=(3, n))
@@ -98,7 +103,7 @@ class TestCausalAttention:
         v = rng.normal(size=(3, n))
         out1 = evaluate_output(causal_attention(), shapes, {"Q": q, "K": k, "V": v})
         k2, v2 = k.copy(), v.copy()
-        k2[:, -1] += 100.0
+        k2[:, -1] += 10.0 * q[:, -1]
         v2[:, -1] -= 100.0
         out2 = evaluate_output(causal_attention(), shapes, {"Q": q, "K": k2, "V": v2})
         if n > 1:

@@ -1,38 +1,42 @@
 """Tests for the runtime subsystem: executor, cache, and registry."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from repro.cluster import ClusterPoint, ClusterSpec
 from repro.experiments.report import full_report
 from repro.model import UnfusedModel, fusemax
 from repro.runtime import (
+    KINDS,
     EvalTask,
     FaultPlan,
     FaultSpec,
     ResultCache,
     RetryPolicy,
     RunRegistry,
+    TaskFailure,
     attention_grid,
+    binding_grid,
     cache_key,
     decode_result,
     encode_result,
     evaluate_task,
     execute_tasks,
     pareto_grid,
+    point_tasks,
     resolve_cache,
     result_digest,
     run_tasks,
-    scenario_grid,
-    serving_grid,
     sweep_attention,
     sweep_inference,
     sweep_pareto,
-    sweep_scenarios,
-    sweep_serving,
+    sweep_points,
 )
 from repro.serving import Arrival, ServingSpec, poisson_arrivals
+from repro.simulator import ScenarioGridCell
 from repro.workloads import BERT, MODELS, SEQUENCE_LENGTHS, T5
 from repro.workloads.scenario import Phase, Scenario, attention_scenario
 
@@ -47,7 +51,65 @@ def serving_spec(**overrides):
     defaults.update(overrides)
     return ServingSpec(**defaults)
 
+
 SHORT = (1024, 65536)
+
+CAPACITY_SCENARIO = attention_scenario(
+    2, 4, array_dim=64, dram_bw=8.0, buffer_bytes=16384.0, qos="decode-first", decode_instances=1
+)
+GRID_CELL = ScenarioGridCell(attention_scenario(2, 4, array_dim=64), model="BERT", batch=2, heads=1)
+CLUSTER_POINT = ClusterPoint(
+    attention_scenario(4, 8, array_dim=64, dram_bw=32.0), ClusterSpec(n_chips=2, link_bw=64.0)
+)
+
+#: One small task per kind in the table.
+CODEC_TASKS = {
+    "attention": EvalTask("attention", UnfusedModel(), BERT, 1024),
+    "inference": EvalTask("inference", fusemax(), BERT, 1024),
+    "pareto": EvalTask("pareto", 64, BERT, 4096),
+    "binding": binding_grid((4,), ("interleaved",), (16,))[0],
+    "scenario": point_tasks("scenario", [CAPACITY_SCENARIO])[0],
+    "scenario_grid": point_tasks("scenario_grid", [GRID_CELL])[0],
+    "serve": point_tasks("serve", [serving_spec(deadline=4000, dram_bw=64.0)])[0],
+    "cluster": point_tasks("cluster", [CLUSTER_POINT])[0],
+}
+
+#: The degraded-slot record, encoded like any result.
+FAILURE = TaskFailure(index=3, kind="serve", error="InjectedFault: injected", attempts=2)
+
+#: Per sample: its cache key under version "pinned", and the sha256 of
+#: its sorted compact encoding (what ``result_digest`` hashes).  Both
+#: were recorded from the hand-written per-kind codec that the
+#: field-walking one replaced.
+PINNED_KEYS = {
+    "attention": "598b9b34d88316474fffcec9a6bf8f47fc229069a34d28137c7541994447be0b",
+    "inference": "3149db085bac2b8ccbb6f8d30cf8e83bd77f761a739fabb0cced96ba44abe488",
+    "pareto": "338980cfff9ac66cd69e5cd2ca39cdcb538bad28c29d21d2aafa79c724c1758c",
+    "binding": "9e3e22dddc0170ba60fd0a4b59d96f627d473b04d6f4c53007d31696b8bc680a",
+    "scenario": "c55f7ca8e8d39daccbcef6d79306bab8be9b566454c6016a4250d0b68b68f58b",
+    "scenario_grid": "197238ed6f12f5de7030a5cfe47864487af27422bf5efeb1084c7a30b35b149d",
+    "serve": "d8d927d6f4000af50ef7961fc44f5864e4d6218d8310801de344797aa8ebd9d6",
+    "cluster": "c57080d02afeb4a5f89d2bc30c634526c2287b62a4a083bc012bad2567941ca3",
+}
+PINNED_ENCODINGS = {
+    "attention": "7fcc9e31035247d9502e5cb1bdc655e28e08887643ab53e0e0cc9450d297f47a",
+    "inference": "1421837603ba9c459ec012a6e4001f92a4b660f4e1988b834ff6c032859a7b41",
+    "pareto": "297ee822feaca54a1e9d631813f8835b9dee694bae946681bb03b99c820a3aae",
+    "binding": "511e35eb056a754d183b98a0db6980d68c7048316a57135450910f263a61a2bf",
+    "scenario": "c3e2180fd416aa6a25c6cb32078c5d417b6a3635ab3b630c63ea0223ba6b606d",
+    "scenario_grid": "03f1da1a6b0c7612796a40b338cc26ca8bbdb9bd6f9d2244a139ab9aa7173e00",
+    "serve": "b3f51bd1f80c9678798cdd9889861044d9f63404aee5c776c105ec21cb7c3618",
+    "cluster": "6e11699668d97526f6190d87a91f77644e3673b491ef9a76fcb689cf88dcdc94",
+    "TaskFailure": "0b5908d0755e8cf83ed1128cb3d269e4f053fde829f2746715737f707cd36d9c",
+}
+
+
+def _codec_sample(name):
+    """(task, result) of one codec sample (no task for the failure)."""
+    if name == "TaskFailure":
+        return None, FAILURE
+    task = CODEC_TASKS[name]
+    return task, evaluate_task(task)
 
 
 class TestParallelEqualsSerial:
@@ -132,7 +194,7 @@ class TestScenarioCacheKey:
 
     @staticmethod
     def _key(scenario):
-        (task,) = scenario_grid([scenario])
+        (task,) = point_tasks("scenario", [scenario])
         return cache_key(task.fingerprint(), version="pinned")
 
     def _assert_changed(self, mutated):
@@ -214,7 +276,7 @@ class TestServingCacheKey:
 
     @staticmethod
     def _key(spec):
-        (task,) = serving_grid([spec])
+        (task,) = point_tasks("serve", [spec])
         return cache_key(task.fingerprint(), version="pinned")
 
     def test_every_field_mutation_changes_key(self):
@@ -252,13 +314,13 @@ class TestServingCacheKey:
     def test_serve_cache_hit_on_rerun(self, tmp_path):
         spec = serving_spec()
         cache = ResultCache(directory=tmp_path)
-        first = sweep_serving([spec], cache=cache)
+        first = sweep_points("serve", [spec], cache=cache)
         assert cache.stats.misses == 1 and cache.stats.puts == 1
-        again = sweep_serving([spec], cache=cache)
+        again = sweep_points("serve", [spec], cache=cache)
         assert cache.stats.memory_hits == 1
         assert again == first
         fresh = ResultCache(directory=tmp_path)  # cold memory, warm disk
-        from_disk = sweep_serving([spec], cache=fresh)
+        from_disk = sweep_points("serve", [spec], cache=fresh)
         assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
         assert from_disk == first
 
@@ -273,16 +335,16 @@ class TestEngineAgnosticIdentity:
     def test_engine_absent_from_fingerprint_and_cache_key(self):
         keys = set()
         for engine in ("event", "cycle", "vector"):
-            (task,) = scenario_grid([self.SCENARIO], engine=engine)
+            (task,) = point_tasks("scenario", [self.SCENARIO], engine=engine)
             assert task.engine == engine
             keys.add(cache_key(task.fingerprint(), version="pinned"))
         assert len(keys) == 1
 
     def test_vector_run_warms_the_event_cache(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
-        vector = sweep_scenarios([self.SCENARIO], cache=cache, engine="vector")
+        vector = sweep_points("scenario", [self.SCENARIO], cache=cache, engine="vector")
         assert cache.stats.misses == 1 and cache.stats.puts == 1
-        event = sweep_scenarios([self.SCENARIO], cache=cache, engine="event")
+        event = sweep_points("scenario", [self.SCENARIO], cache=cache, engine="event")
         assert cache.stats.memory_hits == 1  # cross-engine warm hit
         assert event == vector
 
@@ -290,24 +352,26 @@ class TestEngineAgnosticIdentity:
         digests = set()
         for engine in ("event", "vector"):
             registry = RunRegistry(tmp_path / engine)
-            sweep_scenarios([self.SCENARIO], cache=False, registry=registry, engine=engine)
+            sweep_points(
+                "scenario", [self.SCENARIO], cache=False, registry=registry, engine=engine
+            )
             digests.add(registry.latest().result_digest)
         assert len(digests) == 1
 
     def test_serving_engines_identical_and_share_cache(self, tmp_path):
         spec = serving_spec()
         cache = ResultCache(directory=tmp_path)
-        vector = sweep_serving([spec], cache=cache, engine="vector")
-        event_cached = sweep_serving([spec], cache=cache, engine="event")
+        vector = sweep_points("serve", [spec], cache=cache, engine="vector")
+        event_cached = sweep_points("serve", [spec], cache=cache, engine="event")
         assert cache.stats.memory_hits == 1
         assert event_cached == vector
-        assert vector == sweep_serving([spec], cache=False, engine="event")
+        assert vector == sweep_points("serve", [spec], cache=False, engine="event")
 
     def test_fault_plan_composes_with_vector_engine(self):
         scenarios = [attention_scenario(2 + i, 3, array_dim=32) for i in range(3)]
-        clean = execute_tasks(scenario_grid(scenarios, engine="event"), cache=False).results
+        clean = run_tasks(point_tasks("scenario", scenarios, engine="event"), cache=False)
         outcome = execute_tasks(
-            scenario_grid(scenarios, engine="vector"),
+            point_tasks("scenario", scenarios, engine="vector"),
             jobs=2,
             cache=False,
             retry=RetryPolicy(max_attempts=3),
@@ -380,13 +444,12 @@ class TestCodec:
         assert decode_result(payload) == result
 
     def test_scenario_round_trip_exact(self):
-        (task,) = scenario_grid([attention_scenario(2, 4, array_dim=64)])
+        (task,) = point_tasks("scenario", [attention_scenario(2, 4, array_dim=64)])
         result = evaluate_task(task)
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
 
     def test_scenario_grid_round_trip_exact(self):
-        from repro.runtime import scenario_grid_tasks
         from repro.simulator import ScenarioGridCell
 
         cell = ScenarioGridCell(
@@ -396,20 +459,20 @@ class TestCodec:
             heads=1,
             decode=0,
         )
-        (task,) = scenario_grid_tasks([cell])
+        (task,) = point_tasks("scenario_grid", [cell])
         result = evaluate_task(task)
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
 
     def test_serving_round_trip_exact(self):
-        (task,) = serving_grid([serving_spec(deadline=4000, dram_bw=64.0)])
+        (task,) = point_tasks("serve", [serving_spec(deadline=4000, dram_bw=64.0)])
         result = evaluate_task(task)
         assert result.requests  # a non-trivial trace round-trips
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
 
     def test_capacity_scenario_round_trip_exact(self):
-        (task,) = scenario_grid([attention_scenario(
+        (task,) = point_tasks("scenario", [attention_scenario(
             2, 4, array_dim=64, dram_bw=8.0, buffer_bytes=16384.0,
             qos="decode-first", decode_instances=1,
         )])
@@ -419,24 +482,60 @@ class TestCodec:
         assert decode_result(payload) == result
 
     def test_qos_serving_round_trip_exact(self):
-        (task,) = serving_grid([serving_spec(
+        (task,) = point_tasks("serve", [serving_spec(
             dram_bw=64.0, buffer_bytes=16384.0, qos="decode-first",
         )])
         result = evaluate_task(task)
         payload = json.loads(json.dumps(encode_result(result)))
         assert decode_result(payload) == result
 
-    def test_pre_capacity_payloads_still_decode(self):
-        """Cache entries written before the buffer/QoS fields existed
-        decode to the explicit defaults (they never modeled either)."""
-        (task,) = serving_grid([serving_spec(dram_bw=64.0)])
-        result = evaluate_task(task)
-        payload = json.loads(json.dumps(encode_result(result)))
-        for legacy_field in ("buffer_bytes", "qos", "spill_bytes"):
-            payload.pop(legacy_field)
-        decoded = decode_result(payload)
-        assert decoded == result
-        assert decoded.buffer_bytes is None and decoded.qos == "uniform"
+    def test_pinned_keys_and_encodings_per_kind(self):
+        """Every kind's cache key and result encoding, byte for byte.  A
+        change here moves every cached entry or recorded digest."""
+        assert set(CODEC_TASKS) == set(PINNED_KEYS) == set(KINDS)
+        assert set(PINNED_ENCODINGS) == set(KINDS) | {"TaskFailure"}
+        for name, encoding in PINNED_ENCODINGS.items():
+            task, result = _codec_sample(name)
+            if task is not None:
+                assert cache_key(task.fingerprint(), version="pinned") == PINNED_KEYS[name]
+            blob = json.dumps(encode_result(result), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(blob.encode()).hexdigest() == encoding, name
+            payload = json.loads(json.dumps(encode_result(result)))
+            assert decode_result(payload) == result, name
+
+    def test_unknown_kind_names_the_table(self):
+        with pytest.raises(ValueError) as error:
+            evaluate_task(EvalTask("nope", None, None, 0))
+        assert all(repr(kind) in str(error.value) for kind in KINDS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ENCODINGS))
+    def test_payload_missing_a_field_is_quarantined(self, tmp_path, name):
+        """Decoding is strict: a disk entry lacking any one field (top
+        level or nested) is corrupt, never filled from a default."""
+        _, result = _codec_sample(name)
+        encoded = encode_result(result)
+        # (enclosing field or None for the top level, field to drop)
+        cuts = [(None, field) for field in encoded if field != "__type__"]
+        cuts += [
+            (outer, field)
+            for outer, value in encoded.items()
+            if isinstance(value, dict) and "__type__" in value
+            for field in value
+            if field != "__type__"
+        ]
+        for i, (outer, field) in enumerate(cuts):
+            payload = json.loads(json.dumps(encoded))
+            del (payload if outer is None else payload[outer])[field]
+            directory = tmp_path / str(i)
+            key = f"{i:064x}"
+            ResultCache(directory=directory).put(key, result)
+            entry = ResultCache(directory=directory).entry_path(key)
+            entry.write_text(json.dumps({"key": key, "result": payload}))
+            fresh = ResultCache(directory=directory)
+            assert fresh.get(key) is None, (outer, field)
+            assert fresh.stats.corrupt == 1 and fresh.stats.misses == 1
+            assert not entry.exists()
+            assert entry.with_suffix(".corrupt").is_file()
 
     def test_unknown_payload_rejected(self):
         with pytest.raises(ValueError):

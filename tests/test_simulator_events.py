@@ -28,7 +28,7 @@ from repro.runtime import (
     decode_result,
     encode_result,
     sweep_bindings,
-    sweep_scenarios,
+    sweep_points,
 )
 from repro.simulator import (
     BindingPoint,
@@ -781,23 +781,22 @@ class TestScenarioSweep:
     )
 
     def test_sweep_matches_direct_evaluation(self):
-        results = sweep_scenarios(self.SCENARIOS, cache=False)
-        assert set(results) == set(self.SCENARIOS)
-        for scenario in self.SCENARIOS:
-            direct = evaluate_scenario_point(scenario)
-            assert results[scenario] == direct
+        results = sweep_points("scenario", self.SCENARIOS, cache=False)
+        assert len(results) == len(self.SCENARIOS)
+        for scenario, result in zip(self.SCENARIOS, results):
+            assert result == evaluate_scenario_point(scenario)
 
     def test_same_name_different_spec_both_kept(self):
-        """Keys are the full Scenario spec: a shared display name can't
-        shadow a computed result or cross-wire the crosscheck."""
+        """Results are index-aligned with the specs: a shared display
+        name can't shadow a computed result or cross-wire the
+        crosscheck."""
         from repro.experiments.crosscheck import crosscheck
 
         small = attention_scenario(4, 16, array_dim=64, binding="tile-serial")
         large = attention_scenario(4, 16, array_dim=128, binding="tile-serial")
         assert small.name == large.name  # the collision under test
-        results = sweep_scenarios([small, large], cache=False)
-        assert len(results) == 2
-        assert results[small].makespan != results[large].makespan
+        small_result, large_result = sweep_points("scenario", [small, large], cache=False)
+        assert small_result.makespan != large_result.makespan
         report = crosscheck([small, large], cache=False)
         assert len(report.rows) == 4
         # Each simulation diffs its own estimate: the two scenarios'
@@ -809,19 +808,19 @@ class TestScenarioSweep:
         assert small_2d.model_util != large_2d.model_util
 
     def test_sweep_parallel_and_cached_identical(self, tmp_path):
-        baseline = sweep_scenarios(self.SCENARIOS, cache=False)
-        parallel = sweep_scenarios(self.SCENARIOS, jobs=2, cache=False)
+        baseline = sweep_points("scenario", self.SCENARIOS, cache=False)
+        parallel = sweep_points("scenario", self.SCENARIOS, jobs=2, cache=False)
         assert parallel == baseline
         disk = ResultCache(directory=tmp_path / "cache")
-        populated = sweep_scenarios(self.SCENARIOS, cache=disk)
+        populated = sweep_points("scenario", self.SCENARIOS, cache=disk)
         fresh = ResultCache(directory=tmp_path / "cache")
-        warm = sweep_scenarios(self.SCENARIOS, cache=fresh)
+        warm = sweep_points("scenario", self.SCENARIOS, cache=fresh)
         assert populated == baseline and warm == baseline
         assert fresh.stats.disk_hits == len(baseline)
 
     def test_sweep_records_run(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
-        sweep_scenarios(self.SCENARIOS, cache=False, registry=registry)
+        sweep_points("scenario", self.SCENARIOS, cache=False, registry=registry)
         record = registry.last_recorded
         assert record.kind == "scenario"
         assert record.n_results == 2
@@ -836,7 +835,7 @@ class TestScenarioSweep:
             attention_scenario(2, 8, array_dim=64),
             attention_scenario(2, 8, array_dim=128),
         ]
-        sweep_scenarios(pair, cache=False, registry=registry)
+        sweep_points("scenario", pair, cache=False, registry=registry)
         configs = registry.last_recorded.grid["configs"]
         assert len(configs) == 2
         assert any("64x64" in c for c in configs)
@@ -849,7 +848,9 @@ class TestScenarioSweep:
         assert decode_result(payload) == result
 
     def test_scenario_emitters(self):
-        results = sweep_scenarios(self.SCENARIOS, cache=False)
+        results = dict(zip(
+            self.SCENARIOS, sweep_points("scenario", self.SCENARIOS, cache=False)
+        ))
         csv_text = scenario_csv(results)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("scenario,binding,instances")
