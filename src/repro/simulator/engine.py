@@ -56,7 +56,7 @@ DRAM_RESOURCE = "dram"
 _DRAM_SUFFIX = "@dram"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One tile-granular unit of work bound to a resource.
 
@@ -155,7 +155,14 @@ def lower_dram(
 
 @dataclass(frozen=True)
 class SimResult:
-    """Outcome of one simulation."""
+    """Outcome of one simulation.
+
+    ``finish_times`` maps task name to finish cycle.  The folded vector
+    path returns it as a lazy read-only ``Mapping``
+    (:class:`~repro.simulator.vector.FoldedFinishTimes`) rather than a
+    ``dict``; it compares equal to the dict the other engines return,
+    and callers that need a real one call ``dict()`` on it.
+    """
 
     makespan: int
     busy_cycles: Mapping[str, int]

@@ -28,7 +28,11 @@ recurs, every future window is an exact shift of the recorded one
 (uniform per-class instance shift ``dA``, uniform time shift ``dt``),
 so the engine replays the window arithmetically ``m`` times instead of
 simulating it, then resumes concretely for the drain — exactly where
-arbitration order makes classes diverge.
+arbitration order makes classes diverge.  Finish times expand into one
+int64 array indexed by global program order, and the result exposes it
+through :class:`FoldedFinishTimes`, a read-only name view: the host
+keeps 8 bytes per task and renders ``i<n>:<task>`` names only on
+iteration, never a million-entry dict.
 
 Why the replay is exact
 -----------------------
@@ -56,10 +60,12 @@ what the cycle engine accumulates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,6 +294,86 @@ class FoldedScenario:
     busy_totals: List[int]  #: per resource id: Σ durations (exact busy)
 
 
+class FoldedFinishTimes(Mapping):
+    """Read-only ``"i<n>:<task>" -> finish`` view of a folded schedule.
+
+    Holds the flat int64 finish-time array (indexed by global program
+    order) and the fold's classes instead of one string key per task:
+    8 bytes a task rather than a rendered name plus a dict slot.  Keys
+    are rendered only while iterating, in program order; a lookup
+    parses ``i<n>:``, bisects the classes' instance bases and reads slot
+    ``order_base + local·size + template index``.  It compares equal to
+    the dict the other engines return and yields Python ints; call
+    ``dict()`` on it to materialize one.
+    """
+
+    __slots__ = ("_ft", "_classes", "_bases", "_index")
+
+    def __init__(self, ft: np.ndarray, classes: Sequence[FoldedClass]) -> None:
+        ft.flags.writeable = False
+        self._ft = ft
+        self._classes = classes
+        self._bases = [cls.ginst_base for cls in classes]
+        self._index: Optional[List[Dict[str, int]]] = None
+
+    def __len__(self) -> int:
+        return len(self._ft)
+
+    def __iter__(self) -> Iterator[str]:
+        for cls in self._classes:
+            template = cls.names
+            for gi in range(cls.ginst_base, cls.ginst_base + cls.count):
+                prefix = f"i{gi}:"
+                for name in template:
+                    yield prefix + name
+
+    def __getitem__(self, key: str) -> int:
+        hash(key)  # unhashable keys raise TypeError, as a dict does
+        if not isinstance(key, str) or key[:1] != "i":
+            raise KeyError(key)
+        colon = key.find(":")
+        digits = key[1:colon]
+        # Only the canonical spelling int() would print: ASCII digits,
+        # no sign, no leading zero.
+        if (
+            colon < 0
+            or not (digits.isascii() and digits.isdigit())
+            or (digits[0] == "0" and len(digits) > 1)
+            # Every instance owns >= 1 task, so a real index has no
+            # more digits than the task count (and int() stays cheap).
+            or len(digits) > len(str(len(self._ft)))
+        ):
+            raise KeyError(key)
+        gi = int(digits)
+        c = bisect_right(self._bases, gi) - 1
+        if c < 0:
+            raise KeyError(key)
+        cls = self._classes[c]
+        local = gi - cls.ginst_base
+        if self._index is None:
+            self._index = [{name: i for i, name in enumerate(k.names)} for k in self._classes]
+        tid = self._index[c].get(key[colon + 1:])
+        if local >= cls.count or tid is None:
+            raise KeyError(key)
+        return int(self._ft[cls.order_base + local * cls.size + tid])
+
+    def items(self) -> ItemsView:
+        return _FinishItems(self)
+
+    def values(self) -> ValuesView:
+        return _FinishValues(self)
+
+
+class _FinishItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._ft.tolist())
+
+
+class _FinishValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._ft.tolist())
+
+
 def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedScenario:
     """Lower ``(template_tasks, instance_count)`` pairs — one per
     scenario phase, in program order, already dram-lowered — into a
@@ -305,6 +391,8 @@ def fold_templates(templates: Sequence[Tuple[Sequence[Task], int]]) -> FoldedSce
     for tasks, count in templates:
         size = len(tasks)
         index = {t.name: i for i, t in enumerate(tasks)}
+        if len(index) != size:
+            raise ValueError("duplicate task names")
         durations = [t.duration for t in tasks]
         res = [res_index[t.resource] for t in tasks]
         outstanding0 = [0] * size
@@ -667,17 +755,11 @@ def run_folded(
             for repeat in range(1, repeats + 1):
                 ft[seg_orders + repeat * seg_shift] = seg_t + repeat * d_time
 
-    finish_names: List[str] = []
-    for cls in classes:
-        template = cls.names
-        for local in range(cls.count):
-            prefix = f"i{cls.ginst_base + local}:"
-            finish_names.extend([prefix + name for name in template])
     busy_map = {
         resources[r]: folded.busy_totals[r] for r in range(n_res) if folded.busy_totals[r] > 0
     }
     return SimResult(
         makespan=int(ft.max()) if folded.n_tasks else 0,
         busy_cycles=busy_map,
-        finish_times=dict(zip(finish_names, ft.tolist())),
+        finish_times=FoldedFinishTimes(ft, classes),
     )

@@ -12,13 +12,11 @@ import pytest
 
 from repro.api import Provenance, ScenarioGridRequest, Session
 from repro.runtime import (
-    EvalTask,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     ResultCache,
     RetryPolicy,
-    RunRegistry,
     TaskError,
     TaskFailure,
     attention_grid,

@@ -136,6 +136,16 @@ def assert_folds_without_building(scenario, tasks, monkeypatch):
     assert profile_scenario_point(scenario, engine="vector")[0] == event
 
 
+def assert_expanded_order(view, tasks, finish):
+    """``view`` iterates as the program-order dict of ``finish`` over
+    ``tasks`` — the order and values a folded expansion must keep."""
+    expanded = [(t.name, finish[t.name]) for t in tasks]
+    assert list(view.items()) == expanded
+    assert list(view) == [name for name, _ in expanded]
+    assert list(view.values()) == [value for _, value in expanded]
+    assert len(view) == len(expanded)
+
+
 def random_graph(rng, max_tasks=40, allow_zero=True):
     """A random dependency DAG (deps point at earlier tasks only)."""
     n = rng.randint(1, max_tasks)
@@ -494,6 +504,7 @@ class TestScenarioGraphs:
         # The folded path must replay the sharded classes exactly too.
         _, folded = cluster_sim(scenario, spec, sharding, engine="vector")
         assert folded == result
+        assert_expanded_order(folded.finish_times, tasks, result.finish_times)
 
     @pytest.mark.parametrize("seed", fuzz_seeds("buffer-qos"))
     def test_buffer_qos_graph_engines_identical(self, seed, monkeypatch):
@@ -632,7 +643,98 @@ class TestSymmetryFolding:
         )
         assert folded == expected
         assert dict(folded.finish_times) == dict(expected.finish_times)
+        assert_expanded_order(folded.finish_times, tasks, expected.finish_times)
         return folded
+
+    @pytest.mark.parametrize("seed", fuzz_seeds("scenario-merged"))
+    def test_finish_view_iterates_like_expanded_dict(self, seed):
+        """Replayed or not, the folded finish-time view yields the
+        merged graph's names in program order with the oracle's values,
+        exactly as the dict it replaces did."""
+        self._assert_folded_exact(random_scenario(random.Random(seed)))
+
+    def _prefill_decode_view(self):
+        from repro.simulator import run_folded
+
+        scenario = attention_scenario(
+            12, 3, decode_instances=4, decode_chunks=5, dram_bw=8.0, array_dim=32
+        )
+        folded = fold_scenario(scenario)
+        view = run_folded(folded, slots=scenario.slots).finish_times
+        prefill, decode = (set(cls.names) for cls in folded.classes)
+        return view, dict(view.items()), sorted(prefill - decode), sorted(decode - prefill)
+
+    def test_finish_view_rejects_noncanonical_keys(self):
+        """A key is present only if it is byte-equal to a rendered name:
+        other spellings of the instance number, out-of-range instances
+        and another class's template names all miss."""
+        view, expanded, prefill_only, decode_only = self._prefill_decode_view()
+        task = prefill_only[0]
+        assert f"i1:{task}" in view and f"i0:{decode_only[0]}" not in expanded
+        bad = [
+            f"i01:{task}",
+            f"i+1:{task}",
+            f"i 1:{task}",
+            f"i1_0:{task}",
+            f"i\u0661:{task}",  # ARABIC-INDIC DIGIT ONE
+            f"i16:{decode_only[0]}",  # one past the last instance
+            f"i{'9' * 40}:{task}",
+            f"i0:{decode_only[0]}",  # decode template, prefill instance
+            f"i12:{task}",  # prefill template, decode instance
+            f"i1:{task}x",
+            f"i1{task}",
+            f"i:{task}",
+            "",
+            "i",
+            0,
+            None,
+        ]
+        for key in bad:
+            assert key not in expanded
+            assert key not in view
+            assert view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+        with pytest.raises(TypeError):
+            [task] in view  # unhashable, as for a dict
+        with pytest.raises(TypeError):
+            view[f"i1:{task}"] = 0
+
+    def test_finish_view_equals_dict_both_ways(self):
+        view, expanded, _, _ = self._prefill_decode_view()
+        assert view == expanded and expanded == view
+        assert not (view != expanded) and not (expanded != view)
+        assert all(type(value) is int for value in view.values())
+        assert all(type(view[name]) is int for name in expanded)
+        key = next(iter(expanded))
+        for other in ({**expanded, key: expanded[key] + 1},
+                      {k: v for k, v in expanded.items() if k != key}):
+            assert view != other and other != view
+
+    def test_folded_result_retains_bytes_not_names(self):
+        """A contended BERT 8x16 point (22,656 tasks) keeps its finish
+        times as 8-byte ints: the result, held, retains at most 16 bytes
+        per task (one rendered name plus a dict slot was ~135)."""
+        import gc
+        import tracemalloc
+
+        from repro.simulator import run_folded
+
+        scenario = scenario_from_model(BERT, 4096, 8, heads=16, dram_bw=400 / 0.94)
+        folded = fold_scenario(scenario)
+        assert folded.n_tasks == 22_656
+        run_folded(folded, slots=scenario.slots)  # warm any first-call state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_folded(folded, slots=scenario.slots)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.finish_times) == folded.n_tasks
+        assert retained <= 16 * folded.n_tasks, retained / folded.n_tasks
 
     def test_contended_scenario_replays(self):
         """DRAM contention throttles admission, the live window recurs,
@@ -689,6 +791,13 @@ class TestSymmetryFolding:
 
         template = [Task("a", "r", 1, deps=("elsewhere",))]
         with pytest.raises(ValueError, match="leaves the instance"):
+            fold_templates([(template, 2)])
+
+    def test_fold_rejects_duplicate_template_names(self):
+        from repro.simulator.vector import fold_templates
+
+        template = [Task("a", "r", 1), Task("a", "r", 2)]
+        with pytest.raises(ValueError, match="duplicate"):
             fold_templates([(template, 2)])
 
     def test_run_folded_deadlock_raises(self):
